@@ -55,9 +55,9 @@ inline WorkloadRun run_workload(nas::WorkloadParams params, int nprocs,
   WorkloadRun out;
   mpi::RuntimeConfig rcfg;
   rcfg.machine = machine;
-  // Skeleton payload contents are never read: cap physical copies at the
-  // stream block size so large-message workloads stay host-affordable
-  // (virtual costs still use the full sizes; event packs stay intact).
+  // Skeleton work traffic is size-only (no payload bytes move at all).
+  // The cap now only bounds stream-block copies at the block size, which
+  // keeps event packs intact and stream blocks unframed, as recorded.
   rcfg.payload_copy_cap = 1u << 20;
   if (progress != nullptr) {
     rcfg.progress = *progress;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   SessionConfig cfg;
   cfg.analyzer_ratio = ratio;
   cfg.output_dir = "nas_profile_report";
-  cfg.runtime.payload_copy_cap = 1u << 20;  // skeleton payloads are opaque
+  cfg.runtime.payload_copy_cap = 1u << 20;  // unframed 1 MB stream blocks
 
   Session session(cfg);
   const int app =

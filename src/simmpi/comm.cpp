@@ -23,14 +23,16 @@ constexpr std::uint64_t coll_ctx(std::uint64_t ctx) noexcept {
 
 /// Close a matched (send, recv) pair: copy the payload, compute the
 /// virtual transfer timing, and wake both sides. Runs outside mailbox
-/// locks on whichever thread completed the match.
+/// locks on whichever thread completed the match. A size-only side (null
+/// buffer) moves no bytes; timing and status still use the logical size.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   const std::uint64_t n = std::min(s.bytes, r.max_bytes);
   const std::uint64_t physical =
-      std::min(n, rt.config().payload_copy_cap);
+      s.src_buf == nullptr || r.dst_buf == nullptr
+          ? 0
+          : std::min(n, rt.config().payload_copy_cap);
   if (physical != 0) {
-    const std::byte* src = s.eager_mode ? s.eager->data() : s.src_buf;
-    std::memcpy(r.dst_buf, src, physical);
+    std::memcpy(r.dst_buf, s.src_buf, physical);
     if (s.corrupt_bit >= 0) {
       // Injected in-flight corruption: flip one bit of the delivered copy
       // (never the sender's buffer). Only bits inside the physically
@@ -48,10 +50,8 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
           : rt.machine().transfer(rt.core_of(s.src_world),
                                   rt.core_of(s.dst_world), s.bytes,
                                   std::max(s.t_ready, r.t_ready));
-  Status st;
-  st.source = s.src_world;  // world rank; translated by the owning Comm
-  st.tag = s.tag;
-  st.bytes = n;
+  // Source is a world rank; the owning Comm translates it.
+  const Status st{.source = s.src_world, .tag = s.tag, .bytes = n};
   r.req->complete(finish, st);
   if (s.req) s.req->complete(finish, st);
   // The copy retired: a crashing endpoint may now unwind (see PinTable).
@@ -87,20 +87,19 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   req->bytes = bytes;
   req->comm = cd;
 
+  const Status sent{.source = rc.world_rank, .tag = tag, .bytes = bytes};
   const bool eager = bytes <= rt.config().eager_threshold;
-  item->eager_mode = eager;
   if (eager) {
-    item->eager = Buffer::copy_of(
-        buf, std::min(bytes, rt.config().payload_copy_cap));
+    if (buf != nullptr) {
+      item->eager = Buffer::copy_of(
+          buf, std::min(bytes, rt.config().payload_copy_cap));
+      item->src_buf = item->eager->data();
+    }
     const double staged =
         rt.machine().local_copy(rt.core_of(rc.world_rank), bytes, rc.clock);
     rc.clock = staged;
     item->t_ready = staged;
-    Status st;
-    st.source = rc.world_rank;
-    st.tag = tag;
-    st.bytes = bytes;
-    req->complete(staged, st);  // sender-side completion only
+    req->complete(staged, sent);  // sender-side completion only
   } else {
     item->src_buf = static_cast<const std::byte*>(buf);
     item->t_ready = rc.clock;
@@ -112,13 +111,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
     // an eager send already completed at staging, and a rendezvous
     // sender is released at its departure time. Nothing is posted, so
     // the receiver sees a sequence gap (or, for streams, a lost block).
-    if (!eager) {
-      Status st;
-      st.source = rc.world_rank;
-      st.tag = tag;
-      st.bytes = bytes;
-      req->complete(item->t_ready, st);
-    }
+    if (!eager) req->complete(item->t_ready, sent);
     return req;
   }
   item->t_ready += fault.delay;
@@ -400,12 +393,13 @@ void Comm::pbarrier() const {
   P2p p(*this);
   const int n = size();
   const int r = rank();
-  char token = 0;
+  // One-byte size-only tokens: a shared token buffer would be read by a
+  // rendezvous send while the next receive writes it (a data race).
   for (int k = 1; k < n; k <<= 1) {
     const int dst = (r + k) % n;
     const int src = (r - k % n + n) % n;
-    Request sreq = p.isend(&token, 1, dst, kCollTag + 1);
-    p.recv(&token, 1, src, kCollTag + 1);
+    Request sreq = p.isend(nullptr, 1, dst, kCollTag + 1);
+    p.recv(nullptr, 1, src, kCollTag + 1);
     pwait(sreq);
   }
 }
@@ -497,18 +491,20 @@ void Comm::palltoall(const void* in, std::uint64_t bytes_each,
   P2p p(*this);
   const int n = size();
   const int r = rank();
+  // Block `i` of a buffer; a null (size-only) buffer stays null.
+  auto block = [bytes_each](auto* b, int i) {
+    return b ? b + static_cast<std::size_t>(i) * bytes_each : b;
+  };
   const auto* src_bytes = static_cast<const std::byte*>(in);
   auto* dst_bytes = static_cast<std::byte*>(out);
-  std::memcpy(dst_bytes + static_cast<std::size_t>(r) * bytes_each,
-              src_bytes + static_cast<std::size_t>(r) * bytes_each, bytes_each);
+  if (in != nullptr && out != nullptr)
+    std::memcpy(block(dst_bytes, r), block(src_bytes, r), bytes_each);
   for (int shift = 1; shift < n; ++shift) {
     const int dst = (r + shift) % n;
     const int src = (r - shift + n) % n;
     Request rreq =
-        p.irecv(dst_bytes + static_cast<std::size_t>(src) * bytes_each,
-                bytes_each, src, kCollTag + 5);
-    p.send(src_bytes + static_cast<std::size_t>(dst) * bytes_each, bytes_each,
-           dst, kCollTag + 5);
+        p.irecv(block(dst_bytes, src), bytes_each, src, kCollTag + 5);
+    p.send(block(src_bytes, dst), bytes_each, dst, kCollTag + 5);
     pwait(rreq);
   }
 }

@@ -13,6 +13,15 @@
 ///  - plain methods — the MPI-equivalent public surface. Each runs the
 ///    base implementation and then dispatches a CallInfo through the
 ///    runtime's tool chain (virtualization, instrumentation, baselines).
+///
+/// Size-only messages: `send/recv/isend/irecv` (and their p-layer twins)
+/// accept a null buffer with a nonzero byte count, and `alltoall` a null
+/// `in`/`out`. Such a message is charged exactly like one carrying bytes
+/// (virtual cost, Status::bytes, CallInfo::bytes, fault draws, wire
+/// booking) but moves nothing: a null sender leaves a real receive buffer
+/// untouched, a null receive drops the sender's payload, and an injected
+/// corruption flips no bit. Skeleton workloads whose payloads nothing
+/// reads use them, like SimGrid SMPI's shared-malloc buffers.
 
 #include <cstdint>
 #include <memory>

@@ -69,11 +69,11 @@ struct SendItem {
   std::uint64_t ctx = 0;
   int tag = 0;
   std::uint64_t bytes = 0;
-  /// Rendezvous: pointer into the (pinned) sender buffer; null for eager.
+  /// Payload to deliver: the (pinned) sender buffer for rendezvous, the
+  /// staged `eager` copy for eager; null for a size-only message.
   const std::byte* src_buf = nullptr;
-  /// Eager: staged copy owned by the item.
+  /// Eager: staged copy owned by the item (null for a size-only message).
   BufferRef eager;
-  bool eager_mode = false;
   double t_ready = 0.0;   ///< Virtual time the message leaves the sender.
   std::uint64_t seq = 0;  ///< Sender-side sequence, diagnostic.
   /// Fault injection: payload bit index to flip at delivery, or -1.
@@ -192,7 +192,7 @@ class Mailbox {
         }
       }
       for (auto it = sends_.begin(); it != sends_.end();) {
-        if ((*it)->src_world == src_world && !(*it)->eager_mode) {
+        if ((*it)->src_world == src_world && (*it)->req) {  // rendezvous
           purged.push_back(*it);
           it = sends_.erase(it);
         } else {
@@ -202,7 +202,6 @@ class Mailbox {
     }
     for (auto& r : failed) fail_recv(*r, std::max(t, r->t_ready));
     for (auto& s : purged) {
-      if (!s->req) continue;
       Status st;
       st.source = s->src_world;
       st.tag = s->tag;

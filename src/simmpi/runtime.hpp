@@ -123,11 +123,10 @@ struct RuntimeConfig {
   std::uint64_t eager_threshold = 16 * 1024;
   /// Rank thread stack size.
   std::size_t stack_bytes = 1 << 20;
-  /// Host-side optimization for large skeleton payloads: at most this many
-  /// bytes are physically copied per message, while *virtual* costs are
-  /// always charged for the full size. Keep at the default (unlimited)
-  /// whenever receivers read payload content beyond the cap — event-pack
-  /// streams stay intact as long as the cap >= the stream block size.
+  /// At most this many bytes are physically copied per message (receivers
+  /// see only that prefix); virtual costs always use the full size.
+  /// Streams frame (CRC) their blocks only when the cap covers a whole
+  /// block. Payloads nothing reads are better sent size-only (comm.hpp).
   std::uint64_t payload_copy_cap = ~0ull;
   std::uint64_t seed = 42;
   /// Deterministic fault schedule (empty = fault-free run). Decisions are

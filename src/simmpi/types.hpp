@@ -44,7 +44,7 @@ inline constexpr int kErrPeerDead = 1;
 struct Status {
   int source = kAnySource;  ///< Communicator rank of the sender.
   int tag = kAnyTag;
-  std::uint64_t bytes = 0;  ///< Bytes actually delivered.
+  std::uint64_t bytes = 0;  ///< Logical bytes delivered (size-only too).
   int error = 0;            ///< 0 = success; kErrPeerDead = peer crashed.
 };
 

@@ -1,7 +1,7 @@
 /// \file test_runtime_properties.cpp
-/// \brief Property sweeps over runtime configurations: payload integrity
-/// and virtual-clock sanity must hold for every eager threshold, message
-/// size and machine geometry combination.
+/// \brief Property sweeps over runtime configurations: payload integrity,
+/// virtual-clock sanity and size-only cost equivalence must hold for every
+/// eager threshold, message size and machine geometry combination.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,34 @@ struct Config {
 };
 
 class RuntimePropertyP : public ::testing::TestWithParam<Config> {};
+
+/// Virtual walltime of a two-rank ping-pong of `bytes`, with real buffers
+/// or size-only (null buffers).
+double pingpong_walltime(const Config& c, bool size_only) {
+  RuntimeConfig cfg;
+  cfg.eager_threshold = c.eager_threshold;
+  cfg.machine.cores_per_node = c.cores_per_node;
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"pp", 2, [bytes = c.message_bytes, size_only](ProcEnv& env) {
+                     std::vector<std::uint8_t> buf(size_only ? 0 : bytes);
+                     void* data = size_only ? nullptr : buf.data();
+                     const int peer = 1 - env.world_rank;
+                     for (int iter = 0; iter < 4; ++iter) {
+                       if (env.world_rank == 0) {
+                         env.world.send(data, bytes, peer, iter);
+                         EXPECT_EQ(env.world.recv(data, bytes, peer, iter).bytes,
+                                   bytes);
+                       } else {
+                         EXPECT_EQ(env.world.recv(data, bytes, peer, iter).bytes,
+                                   bytes);
+                         env.world.send(data, bytes, peer, iter);
+                       }
+                     }
+                   }});
+  Runtime rt(cfg, std::move(progs));
+  rt.run();
+  return rt.max_walltime();
+}
 
 TEST_P(RuntimePropertyP, ExchangeIntegrityAndClockSanity) {
   const auto [eager, bytes, cpn] = GetParam();
@@ -59,6 +87,11 @@ TEST_P(RuntimePropertyP, ExchangeIntegrityAndClockSanity) {
   rt.run();
   // Moving real bytes takes virtual time under every configuration.
   EXPECT_GT(rt.max_walltime(), 0.0);
+  // Virtual costs never depend on whether bytes physically move: the
+  // size-only ping-pong ends at exactly the payload-carrying walltime.
+  const double carried = pingpong_walltime(GetParam(), false);
+  EXPECT_GT(carried, 0.0);
+  EXPECT_EQ(pingpong_walltime(GetParam(), true), carried);
 }
 
 INSTANTIATE_TEST_SUITE_P(

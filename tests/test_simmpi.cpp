@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -269,6 +270,133 @@ TEST(SimMpi, EagerSendDoesNotBlockWithoutReceiver) {
       EXPECT_EQ(v, 5);
     }
   });
+}
+
+/// Run one rank-0 -> rank-1 message of `bytes` with either side size-only
+/// (null buffer), the send or the receive posted first. Returns the bytes
+/// the tool chain saw on the two Wait calls.
+std::uint64_t size_only_exchange(std::uint64_t bytes, bool null_send,
+                                 bool null_recv, bool send_first) {
+  struct WaitBytes : Tool {
+    std::atomic<std::uint64_t> bytes{0};
+    void on_call(RankContext&, const CallInfo& ci) override {
+      if (ci.kind == CallKind::Wait) bytes.fetch_add(ci.bytes);
+    }
+  };
+  auto seen = std::make_shared<WaitBytes>();
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"test", 2, [=](ProcEnv& env) {
+                     constexpr std::byte kFill{0xab}, kSent{0x01};
+                     const bool sender = env.world_rank == 0;
+                     std::vector<std::byte> buf(bytes, sender ? kSent : kFill);
+                     // The barrier orders the two posts in real time, so
+                     // the second poster is the one that closes the match.
+                     const bool post_first = sender == send_first;
+                     if (!post_first) env.world.barrier();
+                     Request rq =
+                         sender ? env.world.isend(null_send ? nullptr
+                                                            : buf.data(),
+                                                  bytes, 1, 3)
+                                : env.world.irecv(null_recv ? nullptr
+                                                            : buf.data(),
+                                                  bytes, 0, 3);
+                     if (post_first) env.world.barrier();
+                     const Status st = wait(rq);
+                     EXPECT_EQ(st.bytes, bytes);
+                     EXPECT_EQ(st.tag, 3);
+                     if (sender || null_recv) return;
+                     EXPECT_EQ(st.source, 0);
+                     // A null sender leaves a real receive buffer untouched.
+                     const std::byte want = null_send ? kFill : kSent;
+                     EXPECT_EQ(std::count(buf.begin(), buf.end(), want),
+                               static_cast<std::ptrdiff_t>(bytes));
+                   }});
+  Runtime rt(small_config(), std::move(progs));
+  rt.tools().attach(seen);
+  rt.run();
+  return seen->bytes.load();
+}
+
+TEST(SimMpi, SizeOnlyPointToPoint) {
+  // Eager and rendezvous, send-first and recv-first, null on either or
+  // both sides: every status and tool record carries the logical size.
+  for (const std::uint64_t bytes : {std::uint64_t{512}, std::uint64_t{1} << 20})
+    for (const bool send_first : {true, false})
+      for (const auto& [null_send, null_recv] :
+           {std::pair{true, false}, std::pair{false, true},
+            std::pair{true, true}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "bytes=" << bytes << " send_first=" << send_first
+                     << " null_send=" << null_send
+                     << " null_recv=" << null_recv);
+        EXPECT_EQ(size_only_exchange(bytes, null_send, null_recv, send_first),
+                  2 * bytes);
+      }
+}
+
+TEST(SimMpi, CorruptDecisionOnSizeOnlyMessageFlipsNothing) {
+  // Every 0 -> 1 message draws a corrupt decision. A size-only message
+  // has no delivered copy to flip; a real-to-real control message does.
+  RuntimeConfig cfg = small_config();
+  cfg.faults.scope = net::FaultScope::AllTraffic;
+  cfg.faults.links.push_back(
+      {.src_world = 0, .dst_world = 1, .corrupt_probability = 1.0});
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"test", 2, [](ProcEnv& env) {
+                     const std::uint64_t sizes[] = {512, 1u << 20};
+                     if (env.world_rank == 0) {
+                       std::vector<std::byte> real(1u << 20);
+                       for (const auto n : sizes) {
+                         env.world.send(nullptr, n, 1, 1);      // size-only
+                         env.world.send(real.data(), n, 1, 2);  // null recv
+                         env.world.send(real.data(), n, 1, 3);  // control
+                       }
+                       return;
+                     }
+                     for (const auto n : sizes) {
+                       std::vector<std::byte> buf(n);
+                       EXPECT_EQ(env.world.recv(buf.data(), n, 0, 1).bytes, n);
+                       EXPECT_EQ(std::count(buf.begin(), buf.end(),
+                                            std::byte{0}),
+                                 static_cast<std::ptrdiff_t>(n));
+                       EXPECT_EQ(env.world.recv(nullptr, n, 0, 2).bytes, n);
+                       env.world.recv(buf.data(), n, 0, 3);
+                       EXPECT_EQ(std::count(buf.begin(), buf.end(),
+                                            std::byte{0}),
+                                 static_cast<std::ptrdiff_t>(n) - 1);
+                     }
+                   }});
+  Runtime rt(cfg, std::move(progs));
+  rt.run();
+  EXPECT_EQ(rt.injector().stats().messages_corrupted, 6u);
+}
+
+TEST(SimMpi, AlltoallAcceptsNullBuffers) {
+  // Size-only all-to-all: null in and/or out never touches memory, and a
+  // real out buffer fed by null senders stays as it was.
+  struct AlltoallBytes : Tool {
+    std::atomic<std::uint64_t> bytes{0};
+    void on_call(RankContext&, const CallInfo& ci) override {
+      if (ci.kind == CallKind::Alltoall) bytes.fetch_add(ci.bytes);
+    }
+  };
+  auto seen = std::make_shared<AlltoallBytes>();
+  constexpr std::uint64_t kEach = 4096;
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"test", 4, [](ProcEnv& env) {
+                     std::vector<std::byte> real(4 * kEach, std::byte{0x5a});
+                     env.world.alltoall(nullptr, kEach, nullptr);
+                     env.world.alltoall(nullptr, kEach, real.data());
+                     env.world.alltoall(real.data(), kEach, nullptr);
+                     EXPECT_EQ(std::count(real.begin(), real.end(),
+                                          std::byte{0x5a}),
+                               static_cast<std::ptrdiff_t>(real.size()));
+                     EXPECT_GT(Runtime::self().clock, 0.0);
+                   }});
+  Runtime rt(small_config(), std::move(progs));
+  rt.tools().attach(seen);
+  rt.run();
+  EXPECT_EQ(seen->bytes.load(), 3u * 4 * 4 * kEach);  // 3 calls x 4 ranks
 }
 
 }  // namespace
