@@ -75,6 +75,24 @@ class Buffer {
     if (parent_) throw std::logic_error("Buffer::resize on a view");
     bytes_.resize(n);
   }
+  /// Bytes the owned storage holds without reallocating (0 for a view).
+  std::size_t capacity() const noexcept {
+    return parent_ ? 0 : bytes_.capacity();
+  }
+
+  /// Exchange owned storage with `other`; each buffer keeps its own size.
+  /// Both must own storage of equal capacity, so neither side reallocates
+  /// and pools keyed by buffer size stay pure (simmpi's donated rendezvous
+  /// hands a sender's block to the receiver this way instead of copying).
+  void swap_storage(Buffer& other) {
+    if (parent_ || other.parent_ || capacity() != other.capacity())
+      throw std::logic_error("Buffer::swap_storage: not equal owning buffers");
+    const std::size_t mine = bytes_.size();
+    const std::size_t theirs = other.bytes_.size();
+    bytes_.swap(other.bytes_);
+    bytes_.resize(mine);
+    other.bytes_.resize(theirs);
+  }
 
   /// Re-point this buffer at a window of `parent` (pool plumbing; most
   /// callers want view_of / mem::ViewPool). Replaces any previous state;

@@ -21,10 +21,23 @@ constexpr std::uint64_t coll_ctx(std::uint64_t ctx) noexcept {
   return ctx | (1ull << 63);
 }
 
-/// Close a matched (send, recv) pair: copy the payload, compute the
+/// A donated send may hand its whole buffer to a keepalive receive: both
+/// own their storage at equal capacity, both pointers are still the start
+/// of their buffers, and the entire message is physically delivered.
+bool donatable(const detail::SendItem& s, const detail::RecvItem& r,
+               std::uint64_t n, std::uint64_t physical) {
+  return s.donor && r.keepalive && physical == n && !s.donor->is_view() &&
+         !r.keepalive->is_view() &&
+         s.donor->capacity() == r.keepalive->capacity() &&
+         s.src_buf == s.donor->data() && r.dst_buf == r.keepalive->data();
+}
+
+/// Close a matched (send, recv) pair: deliver the payload, compute the
 /// virtual transfer timing, and wake both sides. Runs outside mailbox
 /// locks on whichever thread completed the match. A size-only side (null
 /// buffer) moves no bytes; timing and status still use the logical size.
+/// A donatable pair exchanges buffer storage instead of copying, which
+/// leaves the sender's contents unspecified and changes nothing else.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   const std::uint64_t n = std::min(s.bytes, r.max_bytes);
   const std::uint64_t physical =
@@ -32,7 +45,14 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
           ? 0
           : std::min(n, rt.config().payload_copy_cap);
   if (physical != 0) {
-    std::memcpy(r.dst_buf, s.src_buf, physical);
+    std::byte* dst = r.dst_buf;
+    if (donatable(s, r, n, physical)) {
+      // After the exchange r.dst_buf is the sender's old storage.
+      s.donor->swap_storage(*r.keepalive);
+      dst = r.keepalive->data();
+    } else {
+      std::memcpy(dst, s.src_buf, physical);
+    }
     if (s.corrupt_bit >= 0) {
       // Injected in-flight corruption: flip one bit of the delivered copy
       // (never the sender's buffer). Only bits inside the physically
@@ -40,8 +60,7 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
       // is likewise gated on the copy cap covering the whole block.
       const auto byte_i = static_cast<std::uint64_t>(s.corrupt_bit) / 8;
       if (byte_i < physical)
-        r.dst_buf[byte_i] ^=
-            static_cast<std::byte>(1u << (s.corrupt_bit % 8));
+        dst[byte_i] ^= static_cast<std::byte>(1u << (s.corrupt_bit % 8));
     }
   }
   const double finish =
@@ -64,7 +83,7 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
 Request isend_impl(Runtime& rt, RankContext& rc,
                    const std::shared_ptr<const CommData>& cd,
                    std::uint64_t ctx, const void* buf, std::uint64_t bytes,
-                   int dst_world, int tag) {
+                   int dst_world, int tag, BufferRef donor = {}) {
   rc.check_crash();
   rc.advance(rt.config().call_overhead);
   auto item = std::make_shared<detail::SendItem>();
@@ -102,6 +121,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
     req->complete(staged, sent);  // sender-side completion only
   } else {
     item->src_buf = static_cast<const std::byte*>(buf);
+    item->donor = std::move(donor);
     item->t_ready = rc.clock;
     item->req = req;
   }
@@ -232,6 +252,13 @@ Request Comm::pisend(const void* buf, std::uint64_t bytes, int dst,
   auto& rc = Runtime::self();
   return isend_impl(*data_->rt, rc, data_, data_->ctx, buf, bytes,
                     world_rank(dst), tag);
+}
+
+Request Comm::pisend(const BufferRef& buf, std::uint64_t bytes, int dst,
+                     int tag) const {
+  auto& rc = Runtime::self();
+  return isend_impl(*data_->rt, rc, data_, data_->ctx, buf->data(), bytes,
+                    world_rank(dst), tag, buf);
 }
 
 Request Comm::pirecv(void* buf, std::uint64_t bytes, int src, int tag) const {

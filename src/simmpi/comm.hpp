@@ -79,10 +79,19 @@ class Comm {
   void psend(const void* buf, std::uint64_t bytes, int dst, int tag) const;
   Status precv(void* buf, std::uint64_t bytes, int src, int tag) const;
   Request pisend(const void* buf, std::uint64_t bytes, int dst, int tag) const;
+  /// pisend from a ref-counted buffer (donated send): the send co-owns the
+  /// buffer until it completes. A rendezvous send matched by a pirecv into
+  /// a ref-counted buffer may hand over its storage instead of copying it
+  /// (DESIGN.md "Simulated MPI: donated rendezvous"); timing, Status and
+  /// fault draws are those of the raw-pointer overload. After completion
+  /// the sender's buffer keeps its size but its contents are unspecified.
+  /// Neither buffer may be used by another pending message meanwhile.
+  Request pisend(const BufferRef& buf, std::uint64_t bytes, int dst,
+                 int tag) const;
   Request pirecv(void* buf, std::uint64_t bytes, int src, int tag) const;
   /// pirecv into a ref-counted buffer: the posted receive co-owns the
   /// storage, so a sender matching it after the caller was destroyed
-  /// still copies into live memory.
+  /// still delivers into live memory.
   Request pirecv(const BufferRef& buf, std::uint64_t bytes, int src,
                  int tag) const;
   /// Non-blocking probe for a matching incoming message.

@@ -5,7 +5,7 @@
 /// One Mailbox per world rank. Senders post SendItems into the destination
 /// mailbox; receivers post RecvItems into their own. Whichever side closes
 /// a match removes both items under the lock and completes the pair outside
-/// it (payload copy + virtual-time transfer computation).
+/// it (payload delivery + virtual-time transfer computation).
 /// Matching preserves MPI ordering: queues are scanned front-to-back, and
 /// items from one sender arrive in program order.
 
@@ -23,15 +23,16 @@
 
 namespace esp::mpi::detail {
 
-/// Tracks matched message pairs whose payload copy is still in flight.
+/// Tracks matched message pairs whose payload delivery is still in flight.
 ///
 /// A match is removed from the mailbox queues under the mailbox lock, but
-/// the copy (complete_match) runs outside it — into the receiver's buffer,
-/// and for rendezvous out of the sender's pinned buffer. A rank crash
-/// unwinds the rank's stack and frees those buffers, so the crash sweep
-/// must wait until every copy touching the dying rank has retired. Pins
-/// are taken under the same mailbox lock that removes the match (no
-/// window between removal and pin) and released by complete_match.
+/// delivery (complete_match) runs outside it — a copy into the receiver's
+/// buffer, for rendezvous out of the sender's pinned buffer, or a storage
+/// exchange for a donated send. A rank crash unwinds the rank's stack and
+/// frees those buffers, so the crash sweep must wait until every delivery
+/// touching the dying rank has retired. Pins are taken under the same
+/// mailbox lock that removes the match (no window between removal and
+/// pin) and released by complete_match.
 class PinTable {
  public:
   explicit PinTable(int world_size)
@@ -50,7 +51,7 @@ class PinTable {
     cv_.notify_all();
   }
 
-  /// Block until no in-flight copy touches `world_rank`'s buffers.
+  /// Block until no in-flight delivery touches `world_rank`'s buffers.
   void wait_idle(int world_rank) {
     std::unique_lock lock(mu_);
     cv_.wait(lock,
@@ -74,6 +75,10 @@ struct SendItem {
   const std::byte* src_buf = nullptr;
   /// Eager: staged copy owned by the item (null for a size-only message).
   BufferRef eager;
+  /// Donated rendezvous (pisend of a BufferRef): the sender's buffer, kept
+  /// alive by the item. Delivery into a keepalive receive may exchange its
+  /// storage with the receiver's instead of copying (complete_match).
+  BufferRef donor;
   double t_ready = 0.0;   ///< Virtual time the message leaves the sender.
   std::uint64_t seq = 0;  ///< Sender-side sequence, diagnostic.
   /// Fault injection: payload bit index to flip at delivery, or -1.
@@ -92,7 +97,7 @@ struct RecvItem {
   /// Keeps dst_buf's backing storage alive until the item is dropped. A
   /// stream reader can be destroyed (normal exit after kEpipe, failover
   /// grace expiry) while slot receives are still posted; a sender that
-  /// matches one of those later must never copy into freed memory.
+  /// matches one of those later must never deliver into freed memory.
   BufferRef keepalive;
   std::uint64_t max_bytes = 0;
   std::uint64_t ctx = 0;

@@ -493,11 +493,11 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
       o.progress_absorbed_ns.add(static_cast<std::uint64_t>(absorbed * 1e9));
     }
   }
-  ob.req = universe_.pisend(ob.data->data(), bytes + frame_bytes(), peer,
-                            data_tag_);
   if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0) {
     // Keep a framed copy for replay after a failover; blocks evicted from
-    // the ring are unreplayable and will surface as seq-gap loss.
+    // the ring are unreplayable and will surface as seq-gap loss. Taken
+    // before the send: a send matching an already-posted receive hands
+    // ob.data's storage to the reader inside pisend.
     auto& ring = resend_[ti];
     // Pooled copy sized to the framed payload: evicted ring entries (and
     // replayed ones at teardown) go straight back to the block pool, so a
@@ -509,6 +509,9 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     if (ring.size() > static_cast<std::size_t>(cfg_.resend_window))
       ring.pop_front();
   }
+  // Donated send: the block moves into the reader's posted slot by a
+  // storage exchange, not a copy, and ob.data gets the slot's old block.
+  ob.req = universe_.pisend(ob.data, bytes + frame_bytes(), peer, data_tag_);
   ++blocks_written_;
   bytes_written_ += bytes;
   if (obs::enabled()) {

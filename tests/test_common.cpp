@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/env.hpp"
@@ -26,6 +27,56 @@ TEST(Hash, StableAndDistinct) {
   // Multi-level ids: same type name, different level -> different id.
   EXPECT_NE(hash_combine(fnv1a("app1"), fnv1a("t")),
             hash_combine(fnv1a("app2"), fnv1a("t")));
+}
+
+/// Bitwise CRC-32 (reflected 0xedb88320): the reference crc32 must match.
+std::uint32_t crc32_reference(const unsigned char* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Hash, Crc32CheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Hash, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> bytes(64 + 8);
+  Rng rng(11);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.below(256));
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(crc32(bytes.data() + off, len),
+                crc32_reference(bytes.data() + off, len))
+          << "offset " << off << " length " << len;
+}
+
+TEST(Hash, Crc32MatchesReferenceOnAMegabyte) {
+  std::vector<unsigned char> bytes(std::size_t{1} << 20);
+  Rng rng(12);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next());
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+            crc32_reference(bytes.data(), bytes.size()));
+}
+
+TEST(Hash, Crc32ChainsSeeds) {
+  std::vector<unsigned char> bytes(1000);
+  Rng rng(13);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next());
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, crc32_reference(bytes.data(), bytes.size()));
+  for (std::size_t cut : {0, 1, 7, 8, 9, 333, 999, 1000}) {
+    const std::uint32_t head = crc32(bytes.data(), cut);
+    EXPECT_EQ(crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
+        << "cut " << cut;
+    EXPECT_EQ(crc32_reference(bytes.data() + cut, bytes.size() - cut, head),
+              whole);
+  }
 }
 
 TEST(Rng, DeterministicPerSeed) {
@@ -80,6 +131,28 @@ TEST(Buffer, TypedViews) {
   EXPECT_EQ(span[2], 3u);
   b->as_mutable<std::uint32_t>()[0] = 9;
   EXPECT_EQ(b->as<std::uint32_t>()[0], 9u);
+}
+
+TEST(Buffer, SwapStorageKeepsEachSizeAndRefusesMismatches) {
+  auto full = Buffer::make(16);
+  auto part = Buffer::make(16);
+  part->resize(4);
+  std::memset(full->data(), 0xaa, 16);
+  std::memset(part->data(), 0x55, 4);
+  const std::byte* full_storage = full->data();
+  part->swap_storage(*full);
+  EXPECT_EQ(full->size(), 16u);
+  EXPECT_EQ(part->size(), 4u);
+  EXPECT_EQ(part->data(), full_storage);  // storage moved, not copied
+  EXPECT_EQ(full->data()[0], std::byte{0x55});
+  EXPECT_EQ(part->data()[0], std::byte{0xaa});
+  EXPECT_EQ(full->capacity(), part->capacity());
+
+  auto other_cap = Buffer::make(8);
+  EXPECT_THROW(full->swap_storage(*other_cap), std::logic_error);
+  auto view = Buffer::view_of(full, 0, 16);
+  EXPECT_EQ(view->capacity(), 0u);
+  EXPECT_THROW(part->swap_storage(*view), std::logic_error);
 }
 
 TEST(Units, Formatting) {

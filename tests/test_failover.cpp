@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "core/session.hpp"
 #include "net/fault.hpp"
 #include "vmpi/stream.hpp"
@@ -509,6 +510,94 @@ TEST(FailoverResendWindow, OverflowEvictsToWindowNeverBelow) {
   EXPECT_EQ(p.replay_announced, 4u);
   EXPECT_EQ(p.adopted_delivered, 4u);
   EXPECT_EQ(p.adopted_lost, 2u);
+}
+
+TEST(FailoverResendWindow, ReplayOfBlocksSentIntoPostedSlotsIsIntact) {
+  // r0 posts its slots before w0 writes, so every write matches a posted
+  // receive inside the send and hands its block to r0 by a storage
+  // exchange. The resend ring must hold the written frames, not the
+  // stale slot bytes the writer gets back: after r0 dies, the replay to
+  // r1 must arrive CRC-valid with the written contents.
+  constexpr int kBlocks = 3;  // == n_async: each write finds a posted slot
+  constexpr std::size_t kBlockBytes = 32 * 1024;  // rendezvous, not eager
+  constexpr int kReadyTag = 7;
+  auto word = [](std::uint64_t index, std::size_t i) {
+    return esp::mix64((index << 16) ^ i);
+  };
+  std::atomic<std::uint64_t> adopted_delivered{0}, adopted_corrupted{~0ull};
+  std::atomic<std::uint64_t> replayed_ok{0}, replayed_bad{0};
+  std::vector<mpi::ProgramSpec> progs;
+  const auto stream_config = [] {
+    vmpi::StreamConfig sc;
+    sc.block_size = kBlockBytes;
+    sc.n_async = kBlocks;
+    sc.policy = vmpi::BalancePolicy::None;
+    sc.hb_lease = kLeaseLen;
+    sc.resend_window = kBlocks;
+    return sc;
+  };
+  progs.push_back({"w", 2, [&](mpi::ProcEnv& env) {
+                     vmpi::Map m;
+                     m.map_partitions(env,
+                                      env.runtime->partition_by_name("r")->id,
+                                      vmpi::MapPolicy::RoundRobin);
+                     vmpi::Stream st(stream_config());
+                     st.open_map(env, m, "w");
+                     if (env.world_rank == 1) {
+                       st.close();
+                       return;
+                     }
+                     char ready = 0;
+                     env.universe.precv(&ready, 1, 2, kReadyTag);  // r0
+                     std::vector<std::uint64_t> block(kBlockBytes / 8);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       for (std::size_t i = 0; i < block.size(); ++i)
+                         block[i] = word(static_cast<std::uint64_t>(b), i);
+                       st.write(block.data(), 1);
+                     }
+                     mpi::compute(5e-3);  // sail past t_dead + hb_lease
+                     st.close();          // lease check declares; ring replays
+                   }});
+  progs.push_back({"r", 2, [&](mpi::ProcEnv& env) {
+                     vmpi::Map m;
+                     m.map_partitions(
+                         env, env.runtime->partition_by_name("w")->id,
+                         vmpi::MapPolicy::RoundRobin);
+                     vmpi::Stream st(stream_config());
+                     st.open_map(env, m, "r");  // slots posted on return
+                     if (env.world_rank == 0) {
+                       const char ready = 1;
+                       env.universe.psend(&ready, 1, 0, kReadyTag);  // w0
+                     }
+                     std::vector<std::uint64_t> block(kBlockBytes / 8);
+                     while (st.read(block.data(), 1) > 0) {
+                       if (env.world_rank != 1) continue;
+                       std::uint64_t index = 0;
+                       while (index < kBlocks && block[0] != word(index, 0))
+                         ++index;
+                       bool ok = index < kBlocks;
+                       for (std::size_t i = 1; ok && i < block.size(); ++i)
+                         ok = block[i] == word(index, i);
+                       (ok ? replayed_ok : replayed_bad).fetch_add(1);
+                     }
+                     if (env.world_rank == 1) {
+                       for (const auto& ps : st.peer_stats()) {
+                         if (!ps.failover_join) continue;
+                         adopted_delivered.store(ps.blocks_delivered);
+                         adopted_corrupted.store(ps.blocks_corrupted);
+                       }
+                     }
+                   }});
+  mpi::RuntimeConfig cfg;
+  cfg.faults.crashes.push_back({});
+  cfg.faults.crashes.back().world_rank = 2;  // r0
+  cfg.faults.crashes.back().at_time = kLeaseDead;
+  mpi::Runtime rt(cfg, std::move(progs));
+  rt.run();
+  EXPECT_EQ(adopted_corrupted.load(), 0u);
+  EXPECT_EQ(adopted_delivered.load(), static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(replayed_ok.load(), static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(replayed_bad.load(), 0u);
 }
 
 TEST(Session, WatchdogDeadlineKnobIsPlumbedFromEnvironment) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <vector>
 
@@ -397,6 +398,168 @@ TEST(SimMpi, AlltoallAcceptsNullBuffers) {
   rt.tools().attach(seen);
   rt.run();
   EXPECT_EQ(seen->bytes.load(), 3u * 4 * 4 * kEach);  // 3 calls x 4 ranks
+}
+
+/// One rank-0 -> rank-1 rendezvous message sent with the donated pisend
+/// overload. The buffers live outside the ranks so both can be inspected
+/// after the run: a storage exchange shows as the receiver's buffer
+/// holding the sender's original storage.
+struct Donation {
+  std::uint64_t bytes = 64 * 1024;  // rendezvous: above the eager threshold
+  std::size_t send_cap = 64 * 1024, send_size = 64 * 1024;
+  std::size_t recv_cap = 64 * 1024, recv_size = 64 * 1024;
+  bool send_view = false, recv_view = false, raw_recv = false;
+  bool send_first = true;
+  std::uint64_t copy_cap = ~0ull;
+  bool corrupt = false;
+
+  BufferRef sent, received;
+  const std::byte* sent_storage = nullptr;
+  const std::byte* recv_storage = nullptr;
+
+  bool exchanged() const {
+    return received->data() == sent_storage && sent->data() == recv_storage;
+  }
+};
+
+constexpr std::byte kRecvFill{0xee};
+std::byte donation_byte(std::size_t i) {
+  return static_cast<std::byte>((i * 7 + 1) & 0xffu);
+}
+
+BufferRef donation_side(std::size_t cap, std::size_t size, bool view) {
+  auto b = Buffer::make(cap);
+  b->resize(size);
+  return view ? Buffer::view_of(b, 0, size) : b;
+}
+
+void run_donation(Donation& d) {
+  d.sent = donation_side(d.send_cap, d.send_size, d.send_view);
+  d.received = donation_side(d.recv_cap, d.recv_size, d.recv_view);
+  for (std::size_t i = 0; i < d.sent->size(); ++i)
+    d.sent->data()[i] = donation_byte(i);
+  std::fill_n(d.received->data(), d.received->size(), kRecvFill);
+  d.sent_storage = d.sent->data();
+  d.recv_storage = d.received->data();
+  RuntimeConfig cfg = small_config();
+  cfg.payload_copy_cap = d.copy_cap;
+  if (d.corrupt) {
+    cfg.faults.scope = net::FaultScope::AllTraffic;
+    cfg.faults.links.push_back(
+        {.src_world = 0, .dst_world = 1, .corrupt_probability = 1.0});
+  }
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"test", 2, [&d](ProcEnv& env) {
+                     const bool sender = env.world_rank == 0;
+                     // The (size-only) barrier orders the two posts, so the
+                     // second poster is the one that closes the match.
+                     const bool post_first = sender == d.send_first;
+                     if (!post_first) env.world.barrier();
+                     Request rq;
+                     if (sender)
+                       rq = env.world.pisend(d.sent, d.bytes, 1, 3);
+                     else if (d.raw_recv)
+                       rq = env.world.pirecv(d.received->data(), d.bytes, 0, 3);
+                     else
+                       rq = env.world.pirecv(d.received, d.bytes, 0, 3);
+                     if (post_first) env.world.barrier();
+                     const Status st = pwait(rq);
+                     EXPECT_EQ(st.error, 0);
+                     EXPECT_EQ(st.bytes, d.bytes);
+                   }});
+  Runtime rt(cfg, std::move(progs));
+  rt.run();
+}
+
+/// The first `n` received bytes are the message, the rest untouched.
+void expect_delivered_prefix(const Donation& d, std::size_t n) {
+  const std::byte* got = d.received->data();
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(got[i], donation_byte(i)) << "byte " << i;
+  for (std::size_t i = n; i < d.received->size(); ++i)
+    ASSERT_EQ(got[i], kRecvFill) << "byte " << i;
+}
+
+TEST(SimMpi, DonatedSendExchangesStorageSendOrReceiveFirst) {
+  for (const bool send_first : {true, false}) {
+    SCOPED_TRACE(send_first ? "send first" : "receive first");
+    Donation d;
+    d.send_first = send_first;
+    run_donation(d);
+    EXPECT_TRUE(d.exchanged());
+    EXPECT_EQ(d.sent->size(), d.send_size);
+    EXPECT_EQ(d.received->size(), d.recv_size);
+    expect_delivered_prefix(d, d.bytes);
+  }
+}
+
+TEST(SimMpi, DonatedPartialBlockKeepsBothSizes) {
+  // A short final block sent into a full-size posted slot: the slot stays
+  // full size and the sender's buffer stays short.
+  for (const bool send_first : {true, false}) {
+    SCOPED_TRACE(send_first ? "send first" : "receive first");
+    Donation d;
+    d.send_first = send_first;
+    d.send_size = d.bytes = 40 * 1024;
+    run_donation(d);
+    EXPECT_TRUE(d.exchanged());
+    EXPECT_EQ(d.sent->size(), 40u * 1024);
+    EXPECT_EQ(d.received->size(), 64u * 1024);
+    EXPECT_EQ(d.received->capacity(), d.sent->capacity());
+    const std::byte* got = d.received->data();
+    for (std::size_t i = 0; i < d.bytes; ++i)
+      ASSERT_EQ(got[i], donation_byte(i)) << "byte " << i;
+  }
+}
+
+TEST(SimMpi, DonatedSendFallsBackToCopy) {
+  struct Case {
+    const char* name;
+    void (*setup)(Donation&);
+  };
+  const Case cases[] = {
+      {"raw-pointer receive", [](Donation& d) { d.raw_recv = true; }},
+      {"sender is a view", [](Donation& d) { d.send_view = true; }},
+      {"receiver is a view", [](Donation& d) { d.recv_view = true; }},
+      {"capacities differ", [](Donation& d) { d.recv_cap = 128 * 1024; }},
+      {"copy cap below message", [](Donation& d) { d.copy_cap = 1000; }},
+  };
+  for (const auto& c : cases)
+    for (const bool send_first : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << c.name << ", "
+                                        << (send_first ? "send" : "receive")
+                                        << " first");
+      Donation d;
+      d.send_first = send_first;
+      c.setup(d);
+      run_donation(d);
+      EXPECT_EQ(d.received->data(), d.recv_storage);
+      EXPECT_EQ(d.sent->data(), d.sent_storage);
+      // Prefix semantics: only payload_copy_cap bytes physically arrive.
+      expect_delivered_prefix(d, std::min<std::uint64_t>(d.bytes, d.copy_cap));
+      for (std::size_t i = 0; i < d.sent->size(); ++i)
+        ASSERT_EQ(d.sent->data()[i], donation_byte(i)) << "sender byte " << i;
+    }
+}
+
+TEST(SimMpi, CorruptDecisionOnDonatedSendFlipsOneReceiverBit) {
+  for (const bool send_first : {true, false}) {
+    SCOPED_TRACE(send_first ? "send first" : "receive first");
+    Donation d;
+    d.send_first = send_first;
+    d.corrupt = true;
+    run_donation(d);
+    ASSERT_TRUE(d.exchanged());
+    int flipped = 0;
+    for (std::size_t i = 0; i < d.bytes; ++i)
+      flipped += std::popcount(static_cast<unsigned>(
+          std::to_integer<unsigned>(d.received->data()[i] ^ donation_byte(i))));
+    EXPECT_EQ(flipped, 1);
+    // The sender now holds the receiver's old storage, with no flip in it.
+    EXPECT_EQ(std::count(d.sent->data(), d.sent->data() + d.sent->size(),
+                         kRecvFill),
+              static_cast<std::ptrdiff_t>(d.sent->size()));
+  }
 }
 
 }  // namespace
