@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
-#include <thread>
 
 #include "analysis/membership.hpp"
 #include "analysis/modules.hpp"
@@ -448,9 +447,9 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
     if ((r == 0 || r == vmpi::kEpipe) && drained) break;
     if (fabric && (++sweep_tick & 63u) == 0) teardown_sweep();
     // Non-blocking root: don't busy-spin host CPU while the fabric is
-    // idle. Real-time sleep only — no virtual clock is touched.
+    // idle. A timed park in real time only — no virtual clock is touched.
     if (admission_root && blocks.empty())
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      mpi::exec::sleep_for(std::chrono::microseconds(50));
   }
   teardown_sweep();
   board.drain();

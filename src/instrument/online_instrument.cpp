@@ -14,10 +14,6 @@
 namespace esp::inst {
 
 namespace {
-/// The rank thread's active instrumentation state, for record_posix.
-thread_local void* g_rank_state = nullptr;
-thread_local OnlineInstrument* g_rank_tool = nullptr;
-
 struct InstObs {
   obs::Counter& events = obs::counter("inst.events");
   obs::Counter& packs = obs::counter("inst.packs");
@@ -141,8 +137,7 @@ void OnlineInstrument::on_init(mpi::RankContext& rc) {
   st->open = true;
 
   states_[static_cast<std::size_t>(rc.world_rank)] = std::move(st);
-  g_rank_state = states_[static_cast<std::size_t>(rc.world_rank)].get();
-  g_rank_tool = this;
+  rc.posix_recorder = this;
 }
 
 void OnlineInstrument::append(mpi::RankContext& rc, RankState& st,
@@ -337,8 +332,7 @@ void OnlineInstrument::on_finalize(mpi::RankContext& rc) {
   total_windows_agg_.fetch_add(st.windows_aggregated);
   total_sampled_out_.fetch_add(st.sampled_out);
   total_aggregated_.fetch_add(st.aggregated_calls);
-  g_rank_state = nullptr;
-  g_rank_tool = nullptr;
+  rc.posix_recorder = nullptr;
 }
 
 void OnlineInstrument::note_admit(mpi::RankContext& rc, double t_admit) {
@@ -349,15 +343,17 @@ void OnlineInstrument::note_admit(mpi::RankContext& rc, double t_admit) {
 
 void OnlineInstrument::record_posix(EventKind kind, std::uint64_t bytes,
                                     double duration) {
-  if (g_rank_state == nullptr || g_rank_tool == nullptr) return;
+  if (!mpi::Runtime::on_rank_thread()) return;
   auto& rc = mpi::Runtime::self();
+  auto* tool = static_cast<OnlineInstrument*>(rc.posix_recorder);
+  if (tool == nullptr) return;
   Event ev;
   ev.kind = kind;
   ev.rank = rc.partition_rank;
   ev.bytes = bytes;
   ev.t_begin = rc.clock - duration;
   ev.t_end = rc.clock;
-  g_rank_tool->record(rc, *static_cast<RankState*>(g_rank_state), ev);
+  tool->record(rc, tool->state(rc), ev);
 }
 
 void posix_io(EventKind kind, std::uint64_t bytes, double duration) {

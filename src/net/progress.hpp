@@ -25,7 +25,7 @@
 /// pattern in the paper's < 25 % overhead regime) is in DESIGN.md
 /// "Progress engine".
 ///
-/// Determinism: a lane is written only by its owning rank thread, its
+/// Determinism: a lane is written only by its owning rank, its
 /// frontier advances as a pure function of that rank's own virtual-time
 /// history, and the writer share per node is a static function of the
 /// partition layout (vmpi::Map::progress_share). Nothing here reads real

@@ -19,9 +19,10 @@
 ///   ESP_OBS_DIR         artifact directory override (default: the
 ///                       session's report output_dir)
 ///
-/// Thread tracks: the tracer renders one Perfetto track per thread. Rank
-/// threads register an explicit (pid = partition id + 1, tid = universe
-/// rank) track timed on their *virtual* clocks; auxiliary threads
+/// Tracks: the tracer renders one Perfetto track per rank and per
+/// auxiliary thread. Each rank owns an explicit (pid = partition id + 1,
+/// tid = universe rank) track timed on its *virtual* clock, bound to the
+/// carrier thread that runs it (new_track / bind_track); auxiliary threads
 /// (blackboard workers) fall onto an auto-assigned real-time track that
 /// can be named with name_current_thread().
 
@@ -66,12 +67,18 @@ std::uint64_t trace_max_events();
 /// otherwise `session_output_dir` (may be empty = nowhere).
 std::string artifact_dir(const std::string& session_output_dir);
 
-/// Bind the calling thread to an explicit trace track. Rank threads call
-/// this with their partition (process row) and universe rank (thread row);
-/// subsequent spans from this thread land on that track.
-void set_thread_track(std::int32_t pid, std::int32_t tid,
+struct TraceTrack;
+
+/// Register an explicit trace track: a partition (process row) and a
+/// universe rank (thread row). It lives until process exit.
+TraceTrack* new_track(std::int32_t pid, std::int32_t tid,
                       const std::string& thread_name,
                       const std::string& process_name = std::string());
+
+/// Route the calling thread's spans to `track` until the next call; null
+/// restores the thread's own track. The rank executor calls this at every
+/// switch, so a rank's spans follow the rank rather than its carrier.
+void bind_track(TraceTrack* track) noexcept;
 
 /// Name the calling thread's auto-assigned (real-time) track.
 void name_current_thread(const std::string& name);

@@ -34,7 +34,8 @@ bool donatable(const detail::SendItem& s, const detail::RecvItem& r,
 
 /// Close a matched (send, recv) pair: deliver the payload, compute the
 /// virtual transfer timing, and wake both sides. Runs outside mailbox
-/// locks on whichever thread completed the match. A size-only side (null
+/// locks on whichever rank completed the match, and never parks (the
+/// crash sweep's PinTable::wait_idle relies on that). A size-only side (null
 /// buffer) moves no bytes; timing and status still use the logical size.
 /// A donatable pair exchanges buffer storage instead of copying, which
 /// leaves the sender's contents unspecified and changes nothing else.
@@ -103,6 +104,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   req->kind = CallKind::Isend;
   req->ctx = ctx;
   req->peer_world = dst_world;
+  req->tag = tag;
   req->bytes = bytes;
   req->comm = cd;
 
@@ -140,7 +142,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   // Crash-oracle wire booking. When the destination has a *scheduled*
   // virtual-time crash, whether a message reaches it before death must not
   // depend on the real-time race between this sender and the dying
-  // thread's last poll — that race would make the shared-resource
+  // rank's last poll — that race would make the shared-resource
   // occupancy (NIC, bisection) differ between same-seed runs and leak
   // timing jitter into every survivor's profile. So the wire is booked
   // here, as a pure function of the departure time: a message leaving
@@ -186,6 +188,7 @@ Request irecv_impl(Runtime& rt, RankContext& rc,
   req->kind = CallKind::Irecv;
   req->ctx = ctx;
   req->peer_world = src_world;
+  req->tag = tag;
   req->bytes = bytes;
   req->comm = cd;
   item->req = req;
@@ -291,6 +294,9 @@ bool Comm::piprobe(int src, int tag, Status* st) const {
     st->tag = tag_out;
     st->bytes = bytes;
   }
+  // A poll that finds nothing lets the rest of the carrier run first, so
+  // a polling rank cannot starve the peer it waits for.
+  if (!found) exec::yield();
   return found;
 }
 
@@ -313,7 +319,10 @@ void pwaitall(std::span<Request> rs) {
 }
 
 bool ptest(Request& r, Status* st) {
-  if (!r->is_done()) return false;
+  if (!r->is_done()) {
+    exec::yield();  // as in piprobe: never starve the completing peer
+    return false;
+  }
   Status s = pwait(r);
   if (st != nullptr) *st = s;
   return true;

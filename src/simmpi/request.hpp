@@ -3,10 +3,10 @@
 /// \brief Nonblocking-operation handles.
 
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 
+#include "simmpi/executor.hpp"
 #include "simmpi/types.hpp"
 
 namespace esp::mpi {
@@ -16,44 +16,65 @@ struct CommData;
 /// A multiplexed completion target: several requests can be armed to
 /// notify one WaitSet, giving wait-any semantics without a global
 /// broadcast (a global completion channel serializes the whole runtime
-/// into a futex storm at scale).
+/// into a wake-up storm at scale). One fiber waits on it at a time.
 struct WaitSet {
   std::mutex mu;
-  std::condition_variable cv;
   std::uint64_t ticket = 0;
+  exec::Fiber* waiter = nullptr;  ///< Parked in wait_change*, if any.
 
   void notify() {
+    exec::Fiber* w;
     {
       std::lock_guard lock(mu);
       ++ticket;
+      w = waiter;
+      waiter = nullptr;
     }
-    cv.notify_all();
+    if (w != nullptr) exec::wake(w);
   }
   std::uint64_t snapshot() {
     std::lock_guard lock(mu);
     return ticket;
   }
-  /// Block until notify() has been called after `seen` was snapshotted.
+  /// Park until notify() has been called after `seen` was snapshotted.
   void wait_change(std::uint64_t seen) {
     std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return ticket != seen; });
+    while (ticket == seen) {
+      waiter = exec::current();
+      lock.unlock();
+      exec::park({.kind = exec::ParkReason::Kind::WaitSet});
+      lock.lock();
+    }
+    waiter = nullptr;
   }
   /// Like wait_change() but gives up after `timeout` (real time). Returns
   /// false on timeout — used by readers that must periodically re-check
   /// whether a silently-dead writer will ever notify them.
   bool wait_change_for(std::uint64_t seen, std::chrono::nanoseconds timeout) {
+    const auto deadline = exec::Clock::now() + timeout;
     std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return ticket != seen; });
+    while (ticket == seen) {
+      if (exec::Clock::now() >= deadline) {
+        waiter = nullptr;
+        return false;
+      }
+      waiter = exec::current();
+      lock.unlock();
+      exec::park_until(deadline, {.kind = exec::ParkReason::Kind::WaitSet});
+      lock.lock();
+    }
+    waiter = nullptr;
+    return true;
   }
 };
 
 /// Shared completion state of a nonblocking operation. Matching happens on
-/// whichever thread closes the (send, recv) pair; the initiating rank
+/// whichever rank closes the (send, recv) pair; the initiating rank
 /// observes completion through wait()/test().
 struct RequestState {
   std::mutex mu;
-  std::condition_variable cv;
   bool done = false;
+  exec::Fiber* waiter = nullptr;  ///< Parked in block(), if any.
 
   /// Virtual time at which the *owning* rank may consider the operation
   /// complete (transfer finish for receives and rendezvous sends; local
@@ -67,6 +88,7 @@ struct RequestState {
   CallKind kind = CallKind::Isend;
   std::uint64_t ctx = 0;
   int peer_world = -1;
+  int tag = 0;
   std::uint64_t bytes = 0;
   std::shared_ptr<const CommData> comm;
 
@@ -74,18 +96,22 @@ struct RequestState {
   WaitSet* waitset = nullptr;
 
   void complete(double t, Status st) {
-    std::unique_lock lock(mu);
-    done = true;
-    finish = t;
-    status = st;
-    // Notify while still holding the request lock: once disarm_waitset()
-    // (same lock) returns, no completion can touch the WaitSet again, so
-    // a stack- or stream-owned WaitSet may be destroyed right after
-    // disarming. Safe order-wise: nothing locks a request while holding a
-    // WaitSet's mutex.
-    if (waitset != nullptr) waitset->notify();
-    lock.unlock();
-    cv.notify_all();
+    exec::Fiber* w;
+    {
+      std::lock_guard lock(mu);
+      done = true;
+      finish = t;
+      status = st;
+      // Notify while still holding the request lock: once disarm_waitset()
+      // (same lock) returns, no completion can touch the WaitSet again, so
+      // a stack- or stream-owned WaitSet may be destroyed right after
+      // disarming. Safe order-wise: nothing locks a request while holding
+      // a WaitSet's mutex.
+      if (waitset != nullptr) waitset->notify();
+      w = waiter;
+      waiter = nullptr;
+    }
+    if (w != nullptr) exec::wake(w);
   }
 
   /// Register `ws` for completion notification. Returns true when the
@@ -108,10 +134,19 @@ struct RequestState {
     return done;
   }
 
-  /// Block (in real time) until done; returns the virtual finish time.
+  /// Park the calling rank until done; returns the virtual finish time.
   double block() {
     std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return done; });
+    while (!done) {
+      waiter = exec::current();
+      lock.unlock();
+      exec::park({.kind = exec::ParkReason::Kind::Request,
+                  .send = kind == CallKind::Isend,
+                  .peer = peer_world,
+                  .tag = tag});
+      lock.lock();
+    }
+    waiter = nullptr;
     return finish;
   }
 };

@@ -1,7 +1,5 @@
 #include "simmpi/runtime.hpp"
 
-#include <pthread.h>
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -17,19 +15,10 @@
 namespace esp::mpi {
 
 namespace {
-thread_local RankContext* g_self = nullptr;
-
 /// Fixed context ids for runtime-created communicators.
 constexpr std::uint64_t kUniverseCtx = 1;
 constexpr std::uint64_t kPartitionCtxBase = 1000;
 }  // namespace
-
-RankContext& Runtime::self() {
-  assert(g_self != nullptr && "not on a rank thread");
-  return *g_self;
-}
-
-bool Runtime::on_rank_thread() noexcept { return g_self != nullptr; }
 
 void RankContext::check_crash() {
   ++calls_made;
@@ -115,9 +104,9 @@ Runtime::Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs)
   }
 }
 
-Runtime::~Runtime() {
-  // Defensive: run() joins the watchdog on every path it starts it, but a
-  // Runtime destroyed without run() completing must not leak the thread.
+Runtime::~Runtime() { stop_watchdog(); }
+
+void Runtime::stop_watchdog() {
   if (watchdog_.joinable()) {
     watchdog_stop_.store(true, std::memory_order_release);
     watchdog_.join();
@@ -207,9 +196,11 @@ void Runtime::on_rank_crashed(const RankContext& rc, std::uint64_t calls) {
   mailboxes_[static_cast<std::size_t>(rc.world_rank)]->kill_destination(
       rc.clock);
   // Matches removed from the queues before the sweep may still be copying
-  // into (or out of) this rank's buffers on other threads. Unwinding the
+  // into (or out of) this rank's buffers on other carriers. Unwinding the
   // rank's stack frees those buffers, so wait for every in-flight copy
-  // touching this rank to retire first.
+  // touching this rank to retire first. This blocks the carrier thread
+  // rather than parking: a pin is held only inside complete_match, which
+  // never parks, so its holder is running on another carrier.
   pins_->wait_idle(rc.world_rank);
 }
 
@@ -217,20 +208,6 @@ void Runtime::dispatch_tools(RankContext& rc, const CallInfo& ci) {
   if (tools_.empty()) return;
   tools_.for_partition(rc.partition_id,
                        [&](Tool& t) { t.on_call(rc, ci); });
-}
-
-namespace {
-struct LaunchArg {
-  Runtime* rt;
-  int world_rank;
-  void (Runtime::*entry)(int);
-};
-}  // namespace
-
-void* Runtime::rank_thread_entry(void* arg) {
-  auto* la = static_cast<LaunchArg*>(arg);
-  (la->rt->*(la->entry))(la->world_rank);
-  return nullptr;
 }
 
 void Runtime::rank_main(int world_rank) {
@@ -245,14 +222,16 @@ void Runtime::rank_main(int world_rank) {
                                  world_rank + 1))));
   rc.crash_at = injector_.crash_time(world_rank);
   rc.crash_after_calls = injector_.crash_after_calls(world_rank);
-  g_self = &rc;
 
   // Trace identity: one Perfetto process per partition, one track per
   // universe rank; span timestamps on these tracks are *virtual* seconds.
-  if (obs::enabled())
-    obs::set_thread_track(part.id + 1, world_rank,
-                          part.name + "/" + std::to_string(rc.partition_rank),
-                          part.name);
+  obs::TraceTrack* track =
+      obs::enabled()
+          ? obs::new_track(part.id + 1, world_rank,
+                           part.name + "/" + std::to_string(rc.partition_rank),
+                           part.name)
+          : nullptr;
+  exec::bind_rank(&rc, track);
 
   ProcEnv env;
   env.universe = universe();
@@ -278,13 +257,13 @@ void Runtime::rank_main(int world_rank) {
   final_clock_[static_cast<std::size_t>(world_rank)] = rc.clock;
   rank_done_[static_cast<std::size_t>(world_rank)].store(
       true, std::memory_order_release);
-  g_self = nullptr;
+  exec::bind_rank(nullptr, nullptr);
 }
 
 void Runtime::dump_progress_and_abort(const char* why) {
   std::fprintf(stderr,
                "esperf: session watchdog fired (%s); per-rank last progress "
-               "(virtual clock / p-layer calls / state):\n",
+               "(virtual clock / p-layer calls / state; executor state):\n",
                why);
   for (int r = 0; r < world_size_; ++r) {
     const auto& p = progress_[static_cast<std::size_t>(r)];
@@ -292,13 +271,15 @@ void Runtime::dump_progress_and_abort(const char* why) {
                         : rank_finished(r) ? "finished"
                                            : "running";
     const auto& part = partition_of_world(r);
-    std::fprintf(stderr, "  rank %d (%s/%d): clock=%.9fs calls=%llu %s\n", r,
-                 part.name.c_str(), r - part.first_world_rank,
+    std::fprintf(stderr, "  rank %d (%s/%d): clock=%.9fs calls=%llu %s; %s\n",
+                 r, part.name.c_str(), r - part.first_world_rank,
                  p.clock.load(std::memory_order_relaxed),
                  static_cast<unsigned long long>(
                      p.calls.load(std::memory_order_relaxed)),
-                 state);
+                 state, exec_->describe(r).c_str());
   }
+  std::fprintf(stderr, "executor carriers:\n");
+  exec_->dump_carriers(stderr);
   std::fflush(stderr);
   std::abort();
 }
@@ -344,32 +325,21 @@ void Runtime::run() {
   if (ran_) throw std::logic_error("Runtime::run() may only be called once");
   ran_ = true;
 
+  std::vector<int> sizes;
+  for (const auto& d : partitions_) sizes.push_back(d.size);
+  exec_ = std::make_unique<exec::Executor>(
+      std::move(sizes), cfg_.stack_bytes, [this](int r) { rank_main(r); });
   if (cfg_.watchdog_virtual_deadline > 0.0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
-
-  pthread_attr_t attr;
-  pthread_attr_init(&attr);
-  pthread_attr_setstacksize(&attr, cfg_.stack_bytes);
-
-  std::vector<pthread_t> threads(static_cast<std::size_t>(world_size_));
-  std::vector<LaunchArg> args(static_cast<std::size_t>(world_size_));
-  for (int r = 0; r < world_size_; ++r) {
-    args[static_cast<std::size_t>(r)] = {this, r, &Runtime::rank_main};
-    const int rc = pthread_create(&threads[static_cast<std::size_t>(r)], &attr,
-                                  &Runtime::rank_thread_entry,
-                                  &args[static_cast<std::size_t>(r)]);
-    if (rc != 0) {
-      pthread_attr_destroy(&attr);
-      throw std::runtime_error("pthread_create failed for rank " +
-                               std::to_string(r));
-    }
+  std::exception_ptr setup_error;  // stack mapping failed: no rank ran
+  try {
+    exec_->run();
+  } catch (...) {
+    setup_error = std::current_exception();
   }
-  pthread_attr_destroy(&attr);
-  for (auto& t : threads) pthread_join(t, nullptr);
-  if (watchdog_.joinable()) {
-    watchdog_stop_.store(true, std::memory_order_release);
-    watchdog_.join();
-  }
+  stop_watchdog();  // it reads exec_ when it fires
+  exec_.reset();
+  if (setup_error) std::rethrow_exception(setup_error);
   if (first_error_) std::rethrow_exception(first_error_);
 }
 

@@ -3,14 +3,15 @@
 /// \brief The MPMD launcher and per-rank execution context.
 ///
 /// A Runtime hosts one MPMD job: a list of programs (partitions), each with
-/// a number of processes. Every process is a thread with its own virtual
-/// clock; world ranks are assigned contiguously per program in declaration
-/// order (as `mpirun prog1 : prog2 : ...` would). The runtime owns the
+/// a number of processes. Every process is a rank with its own virtual
+/// clock, run as a fiber of the cooperative executor (executor.hpp); world
+/// ranks are assigned contiguously per program in declaration order (as
+/// `mpirun prog1 : prog2 : ...` would). The runtime owns the
 /// machine model, the mailboxes, the communicator registry, and the tool
 /// chain through which vmpi virtualization and instrumentation attach.
 
 #include <atomic>
-#include <condition_variable>
+#include <cassert>
 #include <mutex>
 #include <cstdint>
 #include <functional>
@@ -27,6 +28,7 @@
 #include "net/machine.hpp"
 #include "net/progress.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/executor.hpp"
 #include "simmpi/mailbox.hpp"
 #include "simmpi/tool.hpp"
 
@@ -45,7 +47,7 @@ struct PartitionDesc {
   }
 };
 
-/// Thrown inside a rank thread when its FaultPlan crash point fires.
+/// Thrown inside a rank when its FaultPlan crash point fires.
 /// Deliberately *not* derived from std::exception: program code that
 /// catches std::exception must not be able to swallow a simulated death.
 struct RankCrashedError {
@@ -60,7 +62,9 @@ struct RankDeath {
   std::uint64_t calls = 0;     ///< p-layer calls the rank made before dying.
 };
 
-/// Per-rank execution context (one per thread).
+/// Per-rank execution context (one per rank fiber). Everything a rank
+/// keeps "per thread" lives here, so ranks sharing a carrier thread never
+/// share it.
 struct RankContext {
   Runtime* rt = nullptr;
   int world_rank = -1;
@@ -71,6 +75,11 @@ struct RankContext {
   Rng rng;
   /// Per-parent-communicator split counters for deterministic context ids.
   std::unordered_map<std::uint64_t, std::uint64_t> split_counters;
+  /// Streams this rank opened; vmpi derives stream tags from it.
+  int streams_opened = 0;
+  /// The tool recording this rank's POSIX events (inst::OnlineInstrument),
+  /// set from its on_init to its on_finalize.
+  void* posix_recorder = nullptr;
 
   // ---- fault injection (configured by rank_main from the FaultPlan) ----
   double crash_at = std::numeric_limits<double>::infinity();
@@ -121,7 +130,7 @@ struct RuntimeConfig {
   double call_overhead = 0.2e-6;
   /// Messages up to this size are staged eagerly (sender does not block).
   std::uint64_t eager_threshold = 16 * 1024;
-  /// Rank thread stack size.
+  /// Stack size of each rank fiber.
   std::size_t stack_bytes = 1 << 20;
   /// At most this many bytes are physically copied per message (receivers
   /// see only that prefix); virtual costs always use the full size.
@@ -161,9 +170,10 @@ class Runtime {
   /// Tool chain; attach tools before run().
   ToolChain& tools() noexcept { return tools_; }
 
-  /// Spawn all rank threads, execute every program, join. Call once.
-  /// The first exception thrown by any rank's program (or tool) is
-  /// captured and rethrown here after every thread exited.
+  /// Run every rank as a fiber on the executor's carrier threads until
+  /// all programs returned. Call once. The first exception thrown by any
+  /// rank's program (or tool) is captured and rethrown here after every
+  /// rank finished.
   void run();
 
   // ---- topology / partitions -----------------------------------------
@@ -218,8 +228,8 @@ class Runtime {
     return rank_dead_[static_cast<std::size_t>(world_rank)].load(
         std::memory_order_acquire);
   }
-  /// True once `world_rank`'s thread left its program (normally or by
-  /// crash) — after this it will never send another message.
+  /// True once `world_rank` left its program (normally or by crash) —
+  /// after this it will never send another message.
   bool rank_finished(int world_rank) const noexcept {
     return rank_done_[static_cast<std::size_t>(world_rank)].load(
         std::memory_order_acquire);
@@ -239,14 +249,14 @@ class Runtime {
     return death_epoch_.load(std::memory_order_acquire);
   }
   /// This rank's progress-engine ledger (see net/progress.hpp). Written
-  /// only from the owning rank's thread; read post-run or by the owner.
+  /// only by the owning rank; read post-run or by the owner.
   net::ProgressLane& progress_lane(int world_rank) noexcept {
     return progress_lanes_[static_cast<std::size_t>(world_rank)];
   }
   const net::ProgressLane& progress_lane(int world_rank) const noexcept {
     return progress_lanes_[static_cast<std::size_t>(world_rank)];
   }
-  /// Publish one rank's progress (called from check_crash on its thread).
+  /// Publish one rank's progress (called from check_crash on its rank).
   void note_progress(const RankContext& rc) noexcept;
   /// The maximum progress clock published by any rank so far — the global
   /// virtual-time frontier used for idle-crash polling and the watchdog.
@@ -264,15 +274,21 @@ class Runtime {
   /// otherwise wait on the dead rank forever.
   void on_rank_crashed(const RankContext& rc, std::uint64_t calls);
 
-  /// The calling thread's rank context. Only valid on rank threads.
-  static RankContext& self();
-  /// True when the calling thread is a rank thread of some runtime.
-  static bool on_rank_thread() noexcept;
+  /// The calling rank's context. Only valid on a rank fiber.
+  static RankContext& self() {
+    RankContext* rc = exec::current_rank();
+    assert(rc != nullptr && "not on a rank fiber");
+    return *rc;
+  }
+  /// True when the caller is a rank fiber of some runtime.
+  static bool on_rank_thread() noexcept {
+    return exec::current_rank() != nullptr;
+  }
 
  private:
   void rank_main(int world_rank);
-  static void* rank_thread_entry(void* arg);
   void watchdog_loop();
+  void stop_watchdog();
   void dump_progress_and_abort(const char* why);
 
   /// Per-rank progress record, padded to its own cache line so the hot
@@ -310,6 +326,8 @@ class Runtime {
   // Progress publication (watchdog + idle-crash polling).
   std::unique_ptr<RankProgress[]> progress_;
   std::atomic<double> max_progress_{0.0};
+  /// The rank executor, alive for the duration of run().
+  std::unique_ptr<exec::Executor> exec_;
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};
 };

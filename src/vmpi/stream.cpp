@@ -7,7 +7,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "common/hash.hpp"
 #include "core/pool.hpp"
@@ -112,9 +111,6 @@ std::uint32_t block_crc(const std::byte* msg, std::uint64_t payload) {
   return crc32(msg + kCrcOffset, sizeof(BlockHeader) - kCrcOffset + payload);
 }
 
-/// Streams opened by this rank thread, for tag allocation. Rank threads
-/// are created per Runtime::run, so the counter starts at zero each run.
-thread_local int t_streams_opened = 0;
 }  // namespace
 
 Stream::Stream(StreamConfig cfg) : cfg_(cfg) {
@@ -226,10 +222,13 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     }
     // Tag allocation must be a pure function of (rank, open index): a
     // shared first-come-first-served counter would make the tag — and
-    // with it the fault injector's per-message hash — depend on thread
-    // interleaving. Unique while opens * universe_size fits the tag range.
+    // with it the fault injector's per-message hash — depend on how the
+    // ranks interleave. Unique while opens * universe_size fits the tag
+    // range. The open index is the rank's own count (RankContext, never
+    // shared by ranks on one carrier), zero at the start of every run.
     data_tag_ = kStreamDataBase +
-                (t_streams_opened++ * universe_.size() + universe_.rank()) %
+                (mpi::Runtime::self().streams_opened++ * universe_.size() +
+                 universe_.rank()) %
                     (net::kStreamDataTagEnd - net::kStreamDataTagBase + 1);
     StreamCtl ctl{data_tag_, cfg_.block_size, cfg_.n_async};
     for (int peer : peers_)
@@ -899,7 +898,7 @@ void Stream::mark_peer_dead(InPeer& ip) {
 }
 
 bool Stream::scan_silent_dead() {
-  // A writer that finished its thread without sending end-of-stream (its
+  // A writer that finished its program without sending end-of-stream (its
   // EOF was dropped, or it died in a way the crash sweep could not reach)
   // will never complete the head receive. rank_finished() is a release/
   // acquire flag set *after* the writer's last send was queued, and the
@@ -1033,6 +1032,14 @@ int Stream::try_read_block(void* buf) {
 }
 
 int Stream::read(void* buf, int nblocks, int flags) {
+  const int r = read_counted(buf, nblocks, flags);
+  // Nothing to report: let the rest of the carrier (the writers this
+  // reader polls for, perhaps) run before the caller polls again.
+  if (r == kEagain) mpi::exec::yield();
+  return r;
+}
+
+int Stream::read_counted(void* buf, int nblocks, int flags) {
   if (!open_ || writer_) throw std::logic_error("not an open read stream");
   if (closed_) throw std::logic_error("read on closed stream");
   const bool obs_on = obs::enabled();
@@ -1089,7 +1096,7 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
         if (accept_failover_joins()) continue;  // adopted a link: rescan
         if (!failover_grace_over()) {
           if (flags & kNonblock) return kEagain;
-          std::this_thread::sleep_for(poll);
+          mpi::exec::sleep_for(poll);
           continue;
         }
       }
@@ -1115,7 +1122,7 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
     if (heads.empty()) {
       // Nothing armed on any live peer: only the silent-dead scan can
       // make progress now.
-      if (!scan_silent_dead()) std::this_thread::sleep_for(poll);
+      if (!scan_silent_dead()) mpi::exec::sleep_for(poll);
       continue;
     }
     // Wait (real time) until any head request completes, without
@@ -1148,11 +1155,14 @@ int Stream::read_some(std::vector<BufferRef>& out, int max_blocks,
     // is released the block returns here for the next read. Steady-state
     // analyzer reads therefore perform no heap allocation.
     auto block = mem::acquire_block(cfg_.block_size);
-    const int r = read(block->data(), 1, got == 0 ? flags : kNonblock);
+    const int r =
+        read_counted(block->data(), 1, got == 0 ? flags : kNonblock);
     if (r != 1) {
       // Terminal codes (0 / kEpipe) recur on the next call; a burst that
       // ended early just reports what it drained.
-      return got > 0 ? got : r;
+      if (got > 0) return got;
+      if (r == kEagain) mpi::exec::yield();  // as in read()
+      return r;
     }
     out.push_back(std::move(block));
     ++got;

@@ -198,6 +198,9 @@ class Stream {
   void close();
 
   bool is_writer() const noexcept { return writer_; }
+  /// Tag this end's data blocks travel on: a pure function of the rank and
+  /// how many streams it opened before (valid once open).
+  int data_tag() const noexcept { return data_tag_; }
   bool is_open() const noexcept { return open_ && !closed_; }
   std::uint64_t block_size() const noexcept { return cfg_.block_size; }
   int endpoint_count() const noexcept { return static_cast<int>(peers_.size()); }
@@ -265,6 +268,9 @@ class Stream {
   int next_target();
   int acquire_out_buf();
   int read_impl(void* buf, int nblocks, int flags);
+  /// read() without its final yield: read_impl plus the kEagain and obs
+  /// accounting.
+  int read_counted(void* buf, int nblocks, int flags);
   /// Writer: declare readers whose lease expired dead and re-route their
   /// endpoints. Called on entry to write_partial() and close().
   void check_reader_leases();
@@ -362,7 +368,7 @@ class Stream {
   // Opt-in progress engine (net/progress.hpp): charge-attribution ledger
   // for the node-level progress rank that drains this writer's send ring.
   // The app-visible schedule is untouched — lane_ points at a
-  // Runtime-owned ledger written only by this rank's thread.
+  // Runtime-owned ledger written only by this rank.
   bool progress_on_ = false;
   int progress_share_ = 1;  ///< Partition siblings sharing this node's slot.
   net::ProgressLane* lane_ = nullptr;

@@ -96,14 +96,15 @@ TEST(ObsMetrics, StreamEagainCounterAgreesWithStreamStats) {
   const std::uint64_t before = obs::counter("stream.eagain_returns").value();
   obs::set_enabled(true, false);
   std::atomic<std::uint64_t> stream_eagains{0};
-  std::atomic<bool> polled{false};
+  // Handshake: the writer waits (parked, not spinning — the ranks may
+  // share one carrier) until the reader has polled.
+  constexpr int kPolledTag = 7;
   std::vector<mpi::ProgramSpec> progs;
   progs.push_back({"w", 1, [&](mpi::ProcEnv& env) {
                      vmpi::Stream st(
                          {1024, 2, vmpi::BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!polled.load()) {
-                     }
+                     env.universe.precv(nullptr, 0, 1, kPolledTag);
                      std::vector<std::byte> block(1024);
                      st.write(block.data(), 1);
                      st.close();
@@ -119,7 +120,7 @@ TEST(ObsMetrics, StreamEagainCounterAgreesWithStreamStats) {
                      for (int i = 0; i < 3; ++i)
                        EXPECT_EQ(st.read(block.data(), 1, vmpi::kNonblock),
                                  vmpi::kEagain);
-                     polled.store(true);
+                     env.universe.psend(nullptr, 0, 0, kPolledTag);
                      int r;
                      do {
                        r = st.read(block.data(), 1, vmpi::kNonblock);

@@ -20,6 +20,11 @@ using mpi::ProgramSpec;
 using mpi::Runtime;
 using mpi::RuntimeConfig;
 
+/// Tag of the handshakes that order ranks in these tests: a waiting rank
+/// parks in a receive instead of spinning, so ranks that share one
+/// carrier thread still make progress.
+constexpr int kHandshakeTag = 7;
+
 /// Fill a block with a sequence derived from (writer, index) so the reader
 /// can verify provenance and integrity.
 void fill_block(std::vector<std::byte>& block, int writer, int index) {
@@ -173,15 +178,14 @@ TEST(VmpiStream, BlockingReadDrainsEverything) {
 }
 
 TEST(VmpiStream, NonblockingReadReturnsEagainBeforeData) {
-  // Reader opens and immediately polls; the writer holds back until the
+  // Reader opens and immediately polls; the writer holds back (parked in
+  // a receive, so ranks sharing a carrier still progress) until the
   // reader has observed at least one EAGAIN.
-  std::atomic<bool> saw_eagain{false};
   std::vector<ProgramSpec> progs;
   progs.push_back({"w", 1, [&](ProcEnv& env) {
                      Stream st({1024, 2, BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!saw_eagain.load()) {
-                     }
+                     env.universe.precv(nullptr, 0, 1, kHandshakeTag);
                      std::vector<std::byte> block(1024);
                      fill_block(block, 0, 0);
                      st.write(block.data(), 1);
@@ -193,7 +197,7 @@ TEST(VmpiStream, NonblockingReadReturnsEagainBeforeData) {
                      std::vector<std::byte> block(1024);
                      int ret = st.read(block.data(), 1, kNonblock);
                      EXPECT_EQ(ret, kEagain);
-                     saw_eagain.store(true);
+                     env.universe.psend(nullptr, 0, 0, kHandshakeTag);
                      do {
                        ret = st.read(block.data(), 1, kNonblock);
                      } while (ret == kEagain);
@@ -287,8 +291,8 @@ TEST(VmpiStream, OutOfOrderWriterClosesWithNonblockReads) {
   // EOS contract: a reader sees 0 only after EVERY writer closed, no
   // matter the close order; meanwhile kNonblock reads return kEagain and
   // blocks from still-open writers keep flowing. Writer closes are forced
-  // into a fixed out-of-order sequence: w2 (no data), then w0, then w1.
-  std::atomic<int> stage{0};
+  // into a fixed out-of-order sequence: w2 (no data), then w0, then w1,
+  // each writer parked in a receive until its predecessor has closed.
   std::atomic<int> got{0};
   std::atomic<bool> saw_zero_early{false};
   std::vector<ProgramSpec> progs;
@@ -303,19 +307,17 @@ TEST(VmpiStream, OutOfOrderWriterClosesWithNonblockReads) {
                      const int r = env.world_rank;
                      if (r == 2) {
                        st.close();  // closes first, wrote nothing
-                       stage.store(1);
+                       env.world.psend(nullptr, 0, 0, kHandshakeTag);
                      } else if (r == 0) {
-                       while (stage.load() < 1) {
-                       }
+                       env.world.precv(nullptr, 0, 2, kHandshakeTag);
                        for (int b = 0; b < 2; ++b) {
                          fill_block(block, env.universe_rank, b);
                          st.write(block.data(), 1);
                        }
                        st.close();
-                       stage.store(2);
+                       env.world.psend(nullptr, 0, 1, kHandshakeTag);
                      } else {
-                       while (stage.load() < 2) {
-                       }
+                       env.world.precv(nullptr, 0, 0, kHandshakeTag);
                        fill_block(block, env.universe_rank, 0);
                        st.write(block.data(), 1);
                        st.close();
@@ -456,12 +458,11 @@ TEST(VmpiStreamReadSome, PositiveCountWinsOverTerminalCodes) {
 
 TEST(VmpiStreamReadSome, EagainOnlyWhenNothingAppended) {
   std::vector<ProgramSpec> progs;
-  std::atomic<bool> reader_polled{false};
   progs.push_back({"w", 1, [&](ProcEnv& env) {
                      Stream st({1024, 2, BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!reader_polled.load()) {
-                     }
+                     // Parked until the reader polled (see above).
+                     env.universe.precv(nullptr, 0, 1, kHandshakeTag);
                      std::vector<std::byte> block(1024);
                      fill_block(block, 0, 0);
                      st.write(block.data(), 1);
@@ -474,7 +475,7 @@ TEST(VmpiStreamReadSome, EagainOnlyWhenNothingAppended) {
                      EXPECT_EQ(st.read_some(out, 8, kNonblock), kEagain);
                      EXPECT_TRUE(out.empty());
                      EXPECT_GE(st.stats().eagain_returns, 1u);
-                     reader_polled.store(true);
+                     env.universe.psend(nullptr, 0, 0, kHandshakeTag);
                      int r;
                      do {
                        r = st.read_some(out, 8, kNonblock);

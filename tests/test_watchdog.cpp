@@ -4,10 +4,11 @@
 /// outer (ctest/CI) timeout kills it silently. Covers both triggers —
 /// ESP_SESSION_DEADLINE (virtual-time deadline) and ESP_SESSION_STALL
 /// (real-time stall with no rank making progress) — and the dump
-/// contents: the firing reason and the per-rank clock/call lines.
+/// contents: the firing reason, the per-rank clock/call lines, and each
+/// rank's executor state (running, ready, or what it is parked on).
 ///
 /// Uses gtest's fast death-test style: the parent process never launches
-/// a Session (and so never spawns rank threads); the statement under
+/// a Session (and so never starts carrier threads); the statement under
 /// EXPECT_DEATH runs in the forked child, which inherits the environment
 /// set immediately before.
 
@@ -42,6 +43,18 @@ void run_wedged_session() {
       std::vector<std::byte> buf(64);
       env.world.recv(buf.data(), buf.size(), 1, /*tag=*/12345);  // no sender
     }
+  });
+  session.run();
+}
+
+/// Cooperative deadlock: each rank parks in a receive only the other
+/// could satisfy. The stall dump must name both parked requests.
+void run_mutual_recv_session() {
+  SessionConfig cfg;
+  Session session(cfg);
+  session.add_application("pair", 2, [](mpi::ProcEnv& env) {
+    int v = 0;
+    env.world.recv(&v, sizeof v, 1 - env.world_rank, /*tag=*/4);
   });
   session.run();
 }
@@ -82,6 +95,23 @@ TEST_F(WatchdogDeath, StallDumpShowsTheWedgedRank) {
   ::setenv("ESP_SESSION_DEADLINE", "1e6", 1);
   ::setenv("ESP_SESSION_STALL", "0.5", 1);
   EXPECT_DEATH(run_wedged_session(), "rank 0 \\(stuck/0\\): clock=");
+}
+
+TEST_F(WatchdogDeath, StallDumpNamesEachParkedRequest) {
+  ::setenv("ESP_SESSION_DEADLINE", "1e6", 1);
+  // Long enough that both ranks have parked before the stall is judged,
+  // even on a loaded host.
+  ::setenv("ESP_SESSION_STALL", "2", 1);
+  // Per rank, after the progress fields, the executor state: here the
+  // request each rank is parked on (peer world rank and tag). Then one
+  // line per carrier thread, every one idle since every rank waits.
+  EXPECT_DEATH(run_mutual_recv_session(),
+               "rank 0 \\(pair/0\\): clock=[0-9.]+s calls=[0-9]+ running; "
+               "parked on request \\(recv from rank 1, tag 4\\)\n"
+               "  rank 1 \\(pair/1\\): clock=[0-9.]+s calls=[0-9]+ running; "
+               "parked on request \\(recv from rank 0, tag 4\\)\n"
+               "(.|\n)*executor carriers:\n"
+               "  carrier 0 \\(ranks [0-9,-]+\\): idle");
 }
 
 TEST(Watchdog, DisabledByDefaultSessionsComplete) {

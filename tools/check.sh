@@ -39,6 +39,9 @@ run_config() {
 run_config build
 run_config build-sanitize -DESP_SANITIZE=ON
 
+echo "=== thread_local allowlist check ==="
+python3 "$repo/tools/check_thread_locals.py"
+
 echo "=== observability artifact schema check ==="
 # The ObsPipeline ctest leaves its session artifacts behind under the test
 # working directory precisely so this check (and CI's artifact upload) can
