@@ -8,7 +8,16 @@
 /// instrumentation-data bandwidth Bi = (total event size / execution
 /// time) is higher — e.g. Bi(SP.C) = 2.37 GB/s vs Bi(SP.D) = 334.99 MB/s
 /// at 900 cores.
+///
+///   ESP_FIG15_BENCH_JSON=out.json ./fig15_overhead_nas
+///       additionally writes one {"workload","procs","ref_walltime",
+///       "inst_walltime","events"} record per cell, the input of
+///       tools/bench_gate.py --bench fig15 (baseline
+///       bench/BENCH_fig15.baseline.json, default scale).
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -22,6 +31,34 @@ struct Series {
   nas::ProblemClass cls;
   int iterations;
 };
+
+struct Cell {
+  std::string workload;
+  int procs = 0;
+  double ref_walltime = 0.0;
+  double inst_walltime = 0.0;
+  std::uint64_t events = 0;
+};
+
+bool write_json(const std::string& path, const std::vector<Cell>& cells) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << "{\n  \"schema\": 1,\n  \"results\": [\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& c = cells[i];
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "    {\"workload\":\"%s\",\"procs\":%d,"
+                  "\"ref_walltime\":%.9f,\"inst_walltime\":%.9f,"
+                  "\"events\":%llu}%s\n",
+                  c.workload.c_str(), c.procs, c.ref_walltime,
+                  c.inst_walltime, static_cast<unsigned long long>(c.events),
+                  i + 1 < cells.size() ? "," : "");
+    out << buf;
+  }
+  out << "  ]\n}\n";
+  return static_cast<bool>(out);
+}
 
 }  // namespace
 
@@ -50,6 +87,7 @@ int main() {
   Table table({"workload", "procs", "ref_time", "inst_time", "overhead_%",
                "Bi"});
   std::vector<std::vector<std::string>> csv;
+  std::vector<Cell> cells;
 
   for (const auto& s : series) {
     for (int target : targets) {
@@ -76,6 +114,8 @@ int main() {
                      std::to_string(ref.app_walltime),
                      std::to_string(inst.app_walltime), std::to_string(ov),
                      std::to_string(bi)});
+      cells.push_back({label, nprocs, ref.app_walltime, inst.app_walltime,
+                       inst.events});
     }
   }
   table.print(std::cout);
@@ -86,5 +126,13 @@ int main() {
                  {"workload", "procs", "ref_s", "inst_s", "overhead_pct",
                   "bi_bytes_per_s"},
                  csv);
+  const char* json = std::getenv("ESP_FIG15_BENCH_JSON");
+  if (json != nullptr && *json != '\0') {
+    if (!write_json(json, cells)) {
+      std::cerr << "cannot write " << json << "\n";
+      return 2;
+    }
+    std::cout << "-> " << json << std::endl;
+  }
   return 0;
 }

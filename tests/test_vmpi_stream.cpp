@@ -487,13 +487,11 @@ TEST(VmpiStreamReadSome, EagainOnlyWhenNothingAppended) {
   rt.run();
 }
 
-TEST(VmpiStreamReadSome, DrainsBurstsUnderProgressEngine) {
-  // With the per-node progress engine on, writer-side handoffs go through
-  // the progress lane but the wire schedule is untouched: a burst of
-  // blocks written back-to-back must drain through read_some exactly as
-  // with the engine off — every block delivered intact, the terminal 0
-  // never swallowed behind a positive count — while the writer's lane
-  // records one handoff per block.
+TEST(VmpiStreamReadSome, DrainsTightBurstIntact) {
+  // A burst of blocks written back-to-back, with no pacing and more blocks
+  // than the writer has buffers in flight, must drain through a
+  // nonblocking read_some: every block delivered intact, and the
+  // terminal 0 never swallowed behind a positive count.
   std::atomic<int> total{0};
   std::atomic<int> bad{0};
   std::atomic<bool> terminal_sticky{false};
@@ -535,18 +533,11 @@ TEST(VmpiStreamReadSome, DrainsBurstsUnderProgressEngine) {
                      }
                      terminal_sticky.store(st.read_some(out, 4) == 0);
                    }});
-  RuntimeConfig cfg;
-  cfg.progress.enabled = true;
-  cfg.progress.ring_depth = 2;  // shallow: the burst overruns the ring
-  Runtime rt(cfg, std::move(progs));
+  Runtime rt(RuntimeConfig{}, std::move(progs));
   rt.run();
   EXPECT_EQ(total.load(), kBlocks);
   EXPECT_EQ(bad.load(), 0);
   EXPECT_TRUE(terminal_sticky.load());
-  // Writer is world rank 0 ("w" is declared first); every block went
-  // through its lane, and the ledger never goes negative.
-  EXPECT_EQ(rt.progress_lane(0).blocks, static_cast<std::uint64_t>(kBlocks));
-  EXPECT_GE(rt.progress_lane(0).absorbed, 0.0);
 }
 
 TEST(VmpiStream, ByteCountersTrackPayload) {

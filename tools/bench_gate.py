@@ -110,18 +110,15 @@ SPECS = {
         },
         "default_mode": "fail",
     },
-    "progress": {
-        # Event counts are pinned-schedule exact (the engine is charge
-        # attribution); walltimes and the absorption ledger inherit the
-        # fluid model's small host-order jitter.
-        "key": ("workload",),
+    "fig15": {
+        # NAS overhead cells (fig15_overhead_nas at default scale). Event
+        # counts are a pure function of the workload and gate exactly;
+        # walltimes inherit the fluid model's small host-order jitter.
+        "key": ("workload", "procs"),
         "metrics": {
             "events": (0.0, "exact"),
             "ref_walltime": (0.10, "rel"),
             "inst_walltime": (0.10, "rel"),
-            "inst_walltime_on": (0.10, "rel"),
-            "net_walltime": (0.10, "rel"),
-            "absorbed": (0.25, "rel"),
         },
         "default_mode": "fail",
     },

@@ -42,6 +42,9 @@ run_config build-sanitize -DESP_SANITIZE=ON
 echo "=== thread_local allowlist check ==="
 python3 "$repo/tools/check_thread_locals.py"
 
+echo "=== env knob documentation check ==="
+python3 "$repo/tools/check_env_knobs.py"
+
 echo "=== observability artifact schema check ==="
 # The ObsPipeline ctest leaves its session artifacts behind under the test
 # working directory precisely so this check (and CI's artifact upload) can
@@ -85,7 +88,8 @@ run_bench_gate degrade ESP_DEGRADE_BENCH_JSON ablation_degrade
 run_bench_gate tenancy ESP_TENANCY_BENCH_JSON ablation_tenancy
 run_bench_gate hotpath ESP_HOTPATH_BENCH_JSON ablation_hotpath
 run_bench_gate stream ESP_STREAM_BENCH_JSON ablation_stream
-run_bench_gate progress ESP_PROGRESS_BENCH_JSON ablation_progress
+ESP_BENCH_DIR="$repo/build/bench_results" \
+  run_bench_gate fig15 ESP_FIG15_BENCH_JSON fig15_overhead_nas
 run_bench_gate elastic ESP_ELASTIC_BENCH_JSON ablation_elastic
 
 echo "=== chaos soak (ASan) ==="
